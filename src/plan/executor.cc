@@ -730,14 +730,13 @@ Result<QueryResult> Executor::DecodePipeline(
   const TableSchema& schema = *pipe.table.schema;
   PlanNodeTrace* agg_rec = Rec(pipe.aggregate, trace);
 
-  // Majority-group identical payloads to tolerate corrupt responses.
-  std::unordered_map<uint64_t, std::vector<size_t>> groups;
-  for (size_t i = 0; i < responses.size(); ++i) {
-    groups[PayloadSignature(responses[i].bytes)].push_back(i);
-  }
-
   switch (pipe.action) {
     case QueryAction::kCount: {
+      // Majority-group identical payloads to tolerate corrupt responses.
+      std::unordered_map<uint64_t, std::vector<size_t>> groups;
+      for (size_t i = 0; i < responses.size(); ++i) {
+        groups[PayloadSignature(responses[i].bytes)].push_back(i);
+      }
       std::vector<size_t> best;
       for (auto& [sig, members] : groups) {
         if (members.size() > best.size()) best = members;

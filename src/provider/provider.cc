@@ -8,6 +8,10 @@
 
 namespace ssdb {
 
+namespace {
+using RowRef = ShareTable::RowRef;
+}  // namespace
+
 void Provider::AttachMetrics(MetricsRegistry* registry,
                              const std::string& label) {
   const MetricLabels labels = {{"provider", label}};
@@ -214,6 +218,10 @@ Status Provider::HandleInsertRows(Decoder* dec, Buffer* out) {
   SSDB_ASSIGN_OR_RETURN(ShareTable * table, FindTable(table_id));
   uint64_t n = 0;
   SSDB_RETURN_IF_ERROR(dec->GetVarint(&n));
+  // Size the arrays once for the rows the payload can actually hold (n
+  // comes off the wire and is not trusted).
+  table->Reserve(static_cast<size_t>(std::min<uint64_t>(
+      n, dec->remaining() / StoredRowWireSize(table->layout()))));
   for (uint64_t i = 0; i < n; ++i) {
     StoredRow row;
     SSDB_RETURN_IF_ERROR(DecodeStoredRow(dec, table->layout(), &row));
@@ -259,6 +267,11 @@ Status Provider::HandleGetRows(Decoder* dec, Buffer* out) {
   SSDB_ASSIGN_OR_RETURN(ShareTable * table, FindTable(table_id));
   uint64_t n = 0;
   SSDB_RETURN_IF_ERROR(dec->GetVarint(&n));
+  // n comes off the wire: refuse a count the payload cannot hold before
+  // allocating for it.
+  if (n > dec->remaining() / 8) {
+    return Status::Corruption("provider: row id count exceeds payload");
+  }
   std::vector<uint64_t> ids(n);
   for (uint64_t i = 0; i < n; ++i) {
     SSDB_RETURN_IF_ERROR(dec->GetU64(&ids[i]));
@@ -268,7 +281,7 @@ Status Provider::HandleGetRows(Decoder* dec, Buffer* out) {
   EncodeOkHeader(out);
   out->PutVarint(ids.size());
   out->reserve(out->size() + ids.size() * StoredRowWireSize(table->layout()));
-  SSDB_RETURN_IF_ERROR(table->VisitRows(ids, [&](const StoredRow& row) {
+  SSDB_RETURN_IF_ERROR(table->VisitRows(ids, [&](const RowRef& row) {
     EncodeStoredRow(row, table->layout(), out);
     return Status::OK();
   }));
@@ -277,24 +290,24 @@ Status Provider::HandleGetRows(Decoder* dec, Buffer* out) {
 }
 
 Result<bool> Provider::RowMatches(const ShareTable& table,
-                                  const StoredRow& row,
+                                  const RowRef& row,
                                   const SharePredicate& pred) {
   if (pred.column >= table.num_columns()) {
     return Status::InvalidArgument("provider: predicate column out of range");
   }
-  const StoredCell& cell = row.cells[pred.column];
   if (pred.kind == PredicateKind::kExactDet) {
     if (!table.layout()[pred.column].has_det) {
       return Status::NotSupported(
           "provider: exact predicate on column without deterministic shares");
     }
-    return cell.det == pred.det_share;
+    return row.det(pred.column) == pred.det_share;
   }
   if (!table.layout()[pred.column].has_op) {
     return Status::NotSupported(
         "provider: range predicate on column without order-preserving shares");
   }
-  return cell.op >= pred.op_lo && cell.op <= pred.op_hi;
+  const u128 op = row.op(pred.column);
+  return op >= pred.op_lo && op <= pred.op_hi;
 }
 
 Result<std::vector<uint64_t>> Provider::EvaluatePredicates(
@@ -320,7 +333,7 @@ Result<std::vector<uint64_t>> Provider::EvaluatePredicates(
 
   std::vector<uint64_t> out;
   SSDB_RETURN_IF_ERROR(
-      table.VisitRows(candidates, [&](const StoredRow& row) -> Status {
+      table.VisitRows(candidates, [&](const RowRef& row) -> Status {
         bool all = true;
         for (size_t i = 1; i < preds.size(); ++i) {
           SSDB_ASSIGN_OR_RETURN(bool m, RowMatches(table, row, preds[i]));
@@ -329,7 +342,7 @@ Result<std::vector<uint64_t>> Provider::EvaluatePredicates(
             break;
           }
         }
-        if (all) out.push_back(row.row_id);
+        if (all) out.push_back(row.row_id());
         return Status::OK();
       }));
   return out;
@@ -370,7 +383,8 @@ Status Provider::HandleQuery(Decoder* dec, Buffer* out) {
 
   // A query with no predicates matches every row; visiting the table
   // directly (ascending row-id order, same as VisitRows over AllRowIds)
-  // skips materializing the id list and one map lookup per row.
+  // skips materializing the id list and one id search per row, and reads
+  // each share array sequentially.
   const bool full_scan = q.predicates.empty();
   std::vector<uint64_t> ids;
   size_t matched = 0;
@@ -399,7 +413,7 @@ Status Provider::HandleQuery(Decoder* dec, Buffer* out) {
       EncodeOkHeader(out);
       out->PutVarint(matched);
       out->reserve(out->size() + matched * StoredRowWireSize(proj_layout));
-      SSDB_RETURN_IF_ERROR(visit_matched([&](const StoredRow& row) {
+      SSDB_RETURN_IF_ERROR(visit_matched([&](const RowRef& row) {
         EncodeStoredRowProjected(row, proj_layout, proj_columns, out);
         return Status::OK();
       }));
@@ -419,16 +433,15 @@ Status Provider::HandleQuery(Decoder* dec, Buffer* out) {
       // Group matched rows by the group column's det share; groups are
       // identified across providers by their minimal row id.
       std::unordered_map<uint64_t, GroupPartial> groups;
-      SSDB_RETURN_IF_ERROR(visit_matched([&](const StoredRow& row) {
-        const uint64_t det = row.cells[q.group_column].det;
-        auto [it, inserted] = groups.try_emplace(det);
+      SSDB_RETURN_IF_ERROR(visit_matched([&](const RowRef& row) {
+        auto [it, inserted] = groups.try_emplace(row.det(q.group_column));
         GroupPartial& g = it->second;
-        if (inserted || row.row_id < g.rep_row_id) {
-          g.rep_row_id = row.row_id;
-          g.key_share = row.cells[q.group_column].secret;
+        if (inserted || row.row_id() < g.rep_row_id) {
+          g.rep_row_id = row.row_id();
+          g.key_share = row.secret(q.group_column);
         }
         g.sum_share = (Fp61::FromCanonical(g.sum_share) +
-                       Fp61::FromCanonical(row.cells[q.target_column].secret))
+                       Fp61::FromCanonical(row.secret(q.target_column)))
                           .value();
         g.count++;
         return Status::OK();
@@ -461,8 +474,8 @@ Status Provider::HandleQuery(Decoder* dec, Buffer* out) {
       // Additive homomorphism: the sum of secret shares is a share of the
       // sum (all polynomials are evaluated at this provider's x_i).
       Fp61 sum;
-      SSDB_RETURN_IF_ERROR(visit_matched([&](const StoredRow& row) {
-        sum += Fp61::FromCanonical(row.cells[q.target_column].secret);
+      SSDB_RETURN_IF_ERROR(visit_matched([&](const RowRef& row) {
+        sum += Fp61::FromCanonical(row.secret(q.target_column));
         return Status::OK();
       }));
       EncodeOkHeader(out);
@@ -492,8 +505,8 @@ Status Provider::HandleQuery(Decoder* dec, Buffer* out) {
       // O(n log n) sort.
       std::vector<std::pair<u128, uint64_t>> ordered;
       ordered.reserve(matched);
-      SSDB_RETURN_IF_ERROR(visit_matched([&](const StoredRow& row) {
-        ordered.emplace_back(row.cells[q.target_column].op, row.row_id);
+      SSDB_RETURN_IF_ERROR(visit_matched([&](const RowRef& row) {
+        ordered.emplace_back(row.op(q.target_column), row.row_id());
         return Status::OK();
       }));
       std::vector<uint64_t> picked;
@@ -520,7 +533,7 @@ Status Provider::HandleQuery(Decoder* dec, Buffer* out) {
       BumpRowsReturned(picked.size());
       EncodeOkHeader(out);
       out->PutVarint(picked.size());
-      SSDB_RETURN_IF_ERROR(table->VisitRows(picked, [&](const StoredRow& row) {
+      SSDB_RETURN_IF_ERROR(table->VisitRows(picked, [&](const RowRef& row) {
         EncodeStoredRowProjected(row, proj_layout, proj_columns, out);
         return Status::OK();
       }));
@@ -553,39 +566,39 @@ Status Provider::HandleJoin(Decoder* dec, Buffer* out) {
   // same-domain attributes).
   std::unordered_multimap<uint64_t, uint64_t> build;
   build.reserve(right_ids.size());
-  SSDB_RETURN_IF_ERROR(right->VisitRows(right_ids, [&](const StoredRow& row) {
-    build.emplace(row.cells[j.right_column].det, row.row_id);
+  SSDB_RETURN_IF_ERROR(right->VisitRows(right_ids, [&](const RowRef& row) {
+    build.emplace(row.det(j.right_column), row.row_id());
     return Status::OK();
   }));
   BumpRowsExamined(left_ids.size() + right_ids.size());
 
   // Two flat passes instead of per-pair point reads: pass 1 pins each
   // matching left row and lists its right row ids (sorted for
-  // determinism); pass 2 pins the right rows in that order. Pointers stay
+  // determinism); pass 2 pins the right rows in that order. Row refs stay
   // valid after the table locks drop because the provider's state lock
   // keeps mutators out for the whole request. Locks are never nested, so
   // self-joins (left == right) cannot re-enter one shared_mutex.
-  std::vector<const StoredRow*> lefts;
+  std::vector<RowRef> lefts;
   std::vector<uint64_t> rid_seq;
   std::vector<uint64_t> rids;
   SSDB_RETURN_IF_ERROR(
-      left->VisitRows(left_ids, [&](const StoredRow& lrow) -> Status {
-        auto range = build.equal_range(lrow.cells[j.left_column].det);
+      left->VisitRows(left_ids, [&](const RowRef& lrow) -> Status {
+        auto range = build.equal_range(lrow.det(j.left_column));
         rids.clear();
         for (auto it = range.first; it != range.second; ++it) {
           rids.push_back(it->second);
         }
         std::sort(rids.begin(), rids.end());
         for (uint64_t rid : rids) {
-          lefts.push_back(&lrow);
+          lefts.push_back(lrow);
           rid_seq.push_back(rid);
         }
         return Status::OK();
       }));
-  std::vector<const StoredRow*> rights;
+  std::vector<RowRef> rights;
   rights.reserve(rid_seq.size());
-  SSDB_RETURN_IF_ERROR(right->VisitRows(rid_seq, [&](const StoredRow& rrow) {
-    rights.push_back(&rrow);
+  SSDB_RETURN_IF_ERROR(right->VisitRows(rid_seq, [&](const RowRef& rrow) {
+    rights.push_back(rrow);
     return Status::OK();
   }));
   BumpRowsReturned(2 * lefts.size());
@@ -595,8 +608,8 @@ Status Provider::HandleJoin(Decoder* dec, Buffer* out) {
                lefts.size() * (StoredRowWireSize(left->layout()) +
                                StoredRowWireSize(right->layout())));
   for (size_t i = 0; i < lefts.size(); ++i) {
-    EncodeStoredRow(*lefts[i], left->layout(), out);
-    EncodeStoredRow(*rights[i], right->layout(), out);
+    EncodeStoredRow(lefts[i], left->layout(), out);
+    EncodeStoredRow(rights[i], right->layout(), out);
   }
   return Status::OK();
 }

@@ -174,7 +174,8 @@ class Provider : public ProviderEndpoint {
       const ShareTable& table, const std::vector<SharePredicate>& preds);
 
   /// True iff `row` satisfies `pred`.
-  static Result<bool> RowMatches(const ShareTable& table, const StoredRow& row,
+  static Result<bool> RowMatches(const ShareTable& table,
+                                 const ShareTable::RowRef& row,
                                  const SharePredicate& pred);
 
   // Stats bumps route through these so the registry mirror stays exact.

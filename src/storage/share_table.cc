@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <mutex>
 #include <shared_mutex>
+#include <type_traits>
+#include <utility>
 
 #include "field/fp61.h"
 
@@ -20,54 +22,79 @@ inline bool RowFitsStage(size_t columns) {
   return 16 + 32 * columns <= kRowStageBytes;
 }
 
-template <typename CellAt>
-inline void EncodeRowCells(uint64_t row_id, uint64_t tag,
+// Encodes `row` (anything with row_id()/tag()/secret(c)/det(c)/op(c)),
+// reading source column column_at(c) for output column c.
+template <typename Row, typename ColumnAt>
+inline void EncodeRowCells(const Row& row,
                            const std::vector<ProviderColumnLayout>& layout,
-                           const CellAt& cell_at, Buffer* buf) {
+                           const ColumnAt& column_at, Buffer* buf) {
   if (RowFitsStage(layout.size())) {
     uint8_t stage[kRowStageBytes];
-    uint8_t* p = StoreU64LE(stage, row_id);
-    p = StoreU64LE(p, tag);
+    uint8_t* p = StoreU64LE(stage, row.row_id());
+    p = StoreU64LE(p, row.tag());
     for (size_t c = 0; c < layout.size(); ++c) {
-      const StoredCell& cell = cell_at(c);
-      p = StoreU64LE(p, cell.secret);
-      if (layout[c].has_det) p = StoreU64LE(p, cell.det);
+      const size_t src = column_at(c);
+      p = StoreU64LE(p, row.secret(src));
+      if (layout[c].has_det) p = StoreU64LE(p, row.det(src));
       if (layout[c].has_op) {
-        p = StoreU64LE(p, U128Lo(cell.op));
-        p = StoreU64LE(p, U128Hi(cell.op));
+        const u128 op = row.op(src);
+        p = StoreU64LE(p, U128Lo(op));
+        p = StoreU64LE(p, U128Hi(op));
       }
     }
     buf->Append(Slice(stage, static_cast<size_t>(p - stage)));
     return;
   }
-  buf->PutU64(row_id);
-  buf->PutU64(tag);
+  buf->PutU64(row.row_id());
+  buf->PutU64(row.tag());
   for (size_t c = 0; c < layout.size(); ++c) {
-    const StoredCell& cell = cell_at(c);
-    buf->PutU64(cell.secret);
-    if (layout[c].has_det) buf->PutU64(cell.det);
-    if (layout[c].has_op) buf->PutU128(cell.op);
+    const size_t src = column_at(c);
+    buf->PutU64(row.secret(src));
+    if (layout[c].has_det) buf->PutU64(row.det(src));
+    if (layout[c].has_op) buf->PutU128(row.op(src));
   }
 }
+
+// StoredRow behind the accessor interface EncodeRowCells reads.
+struct StoredRowAccess {
+  const StoredRow& r;
+  uint64_t row_id() const { return r.row_id; }
+  uint64_t tag() const { return r.tag; }
+  uint64_t secret(size_t c) const { return r.cells[c].secret; }
+  uint64_t det(size_t c) const { return r.cells[c].det; }
+  u128 op(size_t c) const { return r.cells[c].op; }
+};
+
+inline size_t SameColumn(size_t c) { return c; }
 
 }  // namespace
 
 void EncodeStoredRow(const StoredRow& row,
                      const std::vector<ProviderColumnLayout>& layout,
                      Buffer* buf) {
-  EncodeRowCells(
-      row.row_id, row.tag, layout,
-      [&](size_t c) -> const StoredCell& { return row.cells[c]; }, buf);
+  EncodeRowCells(StoredRowAccess{row}, layout, SameColumn, buf);
 }
 
 void EncodeStoredRowProjected(const StoredRow& row,
                               const std::vector<ProviderColumnLayout>& layout,
                               const std::vector<uint32_t>& columns,
                               Buffer* buf) {
-  EncodeRowCells(
-      row.row_id, row.tag, layout,
-      [&](size_t c) -> const StoredCell& { return row.cells[columns[c]]; },
-      buf);
+  EncodeRowCells(StoredRowAccess{row}, layout,
+                 [&](size_t c) -> size_t { return columns[c]; }, buf);
+}
+
+void EncodeStoredRow(const ShareTable::RowRef& row,
+                     const std::vector<ProviderColumnLayout>& layout,
+                     Buffer* buf) {
+  EncodeRowCells(row, layout, SameColumn, buf);
+}
+
+void EncodeStoredRowProjected(const ShareTable::RowRef& row,
+                              const std::vector<ProviderColumnLayout>& layout,
+                              const std::vector<uint32_t>& columns,
+                              Buffer* buf) {
+  EncodeRowCells(row, layout,
+                 [&](size_t c) -> size_t { return columns[c]; }, buf);
 }
 
 size_t StoredRowWireSize(const std::vector<ProviderColumnLayout>& layout) {
@@ -108,8 +135,22 @@ Status DecodeStoredRow(Decoder* dec,
   return Status::OK();
 }
 
+StoredRow ShareTable::RowRef::ToStoredRow() const {
+  StoredRow row;
+  row.row_id = row_id();
+  row.tag = tag();
+  row.cells.resize(t_->layout_.size());
+  for (size_t c = 0; c < row.cells.size(); ++c) {
+    row.cells[c].secret = secret(c);
+    if (t_->layout_[c].has_det) row.cells[c].det = det(c);
+    if (t_->layout_[c].has_op) row.cells[c].op = op(c);
+  }
+  return row;
+}
+
 ShareTable::ShareTable(std::vector<ProviderColumnLayout> layout)
     : layout_(std::move(layout)),
+      columns_(layout_.size()),
       det_index_(layout_.size()),
       op_index_(layout_.size()) {}
 
@@ -118,18 +159,35 @@ ShareTable::ShareTable(std::vector<ProviderColumnLayout> layout)
 // holding their own exclusive state lock).
 ShareTable::ShareTable(ShareTable&& o) noexcept
     : layout_(std::move(o.layout_)),
-      rows_(std::move(o.rows_)),
+      row_ids_(std::move(o.row_ids_)),
+      tags_(std::move(o.tags_)),
+      live_(std::move(o.live_)),
+      columns_(std::move(o.columns_)),
+      dead_(std::exchange(o.dead_, 0)),
       det_index_(std::move(o.det_index_)),
       op_index_(std::move(o.op_index_)) {}
 
 ShareTable& ShareTable::operator=(ShareTable&& o) noexcept {
   if (this != &o) {
     layout_ = std::move(o.layout_);
-    rows_ = std::move(o.rows_);
+    row_ids_ = std::move(o.row_ids_);
+    tags_ = std::move(o.tags_);
+    live_ = std::move(o.live_);
+    columns_ = std::move(o.columns_);
+    dead_ = std::exchange(o.dead_, 0);
     det_index_ = std::move(o.det_index_);
     op_index_ = std::move(o.op_index_);
   }
   return *this;
+}
+
+size_t ShareTable::FindSlot(uint64_t row_id, size_t from) const {
+  const auto it =
+      std::lower_bound(row_ids_.begin() + static_cast<ptrdiff_t>(from),
+                       row_ids_.end(), row_id);
+  if (it == row_ids_.end() || *it != row_id) return kNoSlot;
+  const size_t slot = static_cast<size_t>(it - row_ids_.begin());
+  return live_[slot] ? slot : kNoSlot;
 }
 
 Status ShareTable::CheckRowShape(const StoredRow& row) const {
@@ -139,74 +197,135 @@ Status ShareTable::CheckRowShape(const StoredRow& row) const {
   return Status::OK();
 }
 
-void ShareTable::IndexRow(const StoredRow& row) {
+void ShareTable::WriteSlot(size_t slot, const StoredRow& row) {
+  tags_[slot] = row.tag;
+  for (size_t c = 0; c < layout_.size(); ++c) {
+    columns_[c].secret[slot] = row.cells[c].secret;
+    if (layout_[c].has_det) columns_[c].det[slot] = row.cells[c].det;
+    if (layout_[c].has_op) columns_[c].op[slot] = row.cells[c].op;
+  }
+}
+
+void ShareTable::IndexSlot(size_t slot) {
   for (size_t c = 0; c < layout_.size(); ++c) {
     if (layout_[c].has_det) {
-      det_index_[c].emplace(row.cells[c].det, row.row_id);
+      det_index_[c].emplace(columns_[c].det[slot], row_ids_[slot]);
     }
     if (layout_[c].has_op) {
-      op_index_[c].Insert(row.cells[c].op, row.row_id);
+      op_index_[c].Insert(columns_[c].op[slot], row_ids_[slot]);
     }
   }
 }
 
-void ShareTable::UnindexRow(const StoredRow& row) {
+void ShareTable::UnindexSlot(size_t slot) {
+  const uint64_t row_id = row_ids_[slot];
   for (size_t c = 0; c < layout_.size(); ++c) {
     if (layout_[c].has_det) {
-      auto range = det_index_[c].equal_range(row.cells[c].det);
+      auto range = det_index_[c].equal_range(columns_[c].det[slot]);
       for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == row.row_id) {
+        if (it->second == row_id) {
           det_index_[c].erase(it);
           break;
         }
       }
     }
     if (layout_[c].has_op) {
-      op_index_[c].Erase(row.cells[c].op, row.row_id);
+      op_index_[c].Erase(columns_[c].op[slot], row_id);
     }
   }
+}
+
+template <typename Fn>
+void ShareTable::ForEachArray(const Fn& fn) {
+  fn(row_ids_);
+  fn(tags_);
+  for (size_t c = 0; c < layout_.size(); ++c) {
+    fn(columns_[c].secret);
+    if (layout_[c].has_det) fn(columns_[c].det);
+    if (layout_[c].has_op) fn(columns_[c].op);
+  }
+  fn(live_);  // last: Compact reads it while moving the others
+}
+
+void ShareTable::Compact() {
+  ForEachArray([this](auto& v) {
+    size_t out = 0;
+    for (size_t slot = 0; slot < v.size(); ++slot) {
+      if (live_[slot]) v[out++] = v[slot];
+    }
+    v.resize(out);
+  });
+  dead_ = 0;
+}
+
+void ShareTable::Reserve(size_t rows) {
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  // Grow at least geometrically: a run of small chunked inserts must not
+  // reallocate on every chunk.
+  const size_t needed = row_ids_.size() + rows;
+  if (needed <= row_ids_.capacity()) return;
+  const size_t want = std::max(needed, 2 * row_ids_.capacity());
+  ForEachArray([want](auto& v) { v.reserve(want); });
 }
 
 Status ShareTable::Insert(StoredRow row) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   SSDB_RETURN_IF_ERROR(CheckRowShape(row));
-  if (rows_.count(row.row_id) != 0) {
-    return Status::AlreadyExists("share row id already stored");
+  const auto it =
+      std::lower_bound(row_ids_.begin(), row_ids_.end(), row.row_id);
+  const size_t slot = static_cast<size_t>(it - row_ids_.begin());
+  if (it != row_ids_.end() && *it == row.row_id) {
+    if (live_[slot]) {
+      return Status::AlreadyExists("share row id already stored");
+    }
+    // Re-inserting a deleted id revives its slot in place.
+    --dead_;
+  } else {
+    // Client row ids rise per table, so this is nearly always an append;
+    // a lower id shifts the tail to keep the slots in id order.
+    ForEachArray([slot](auto& v) {
+      using T = typename std::decay_t<decltype(v)>::value_type;
+      v.insert(v.begin() + static_cast<ptrdiff_t>(slot), T());
+    });
+    row_ids_[slot] = row.row_id;
   }
-  IndexRow(row);
-  rows_.emplace(row.row_id, std::move(row));
+  live_[slot] = 1;
+  WriteSlot(slot, row);
+  IndexSlot(slot);
   return Status::OK();
 }
 
 Status ShareTable::Delete(uint64_t row_id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = rows_.find(row_id);
-  if (it == rows_.end()) {
+  const size_t slot = FindSlot(row_id);
+  if (slot == kNoSlot) {
     return Status::NotFound("share row id not stored");
   }
-  UnindexRow(it->second);
-  rows_.erase(it);
+  UnindexSlot(slot);
+  live_[slot] = 0;
+  ++dead_;
+  if (dead_ > row_ids_.size() - dead_) Compact();
   return Status::OK();
 }
 
 Status ShareTable::Update(StoredRow row) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   SSDB_RETURN_IF_ERROR(CheckRowShape(row));
-  auto it = rows_.find(row.row_id);
-  if (it == rows_.end()) {
+  const size_t slot = FindSlot(row.row_id);
+  if (slot == kNoSlot) {
     return Status::NotFound("share row id not stored");
   }
-  UnindexRow(it->second);
-  IndexRow(row);
-  it->second = std::move(row);
+  UnindexSlot(slot);
+  WriteSlot(slot, row);
+  IndexSlot(slot);
   return Status::OK();
 }
 
 Status ShareTable::AddSecretDeltas(uint64_t row_id,
                                    const std::vector<uint64_t>& deltas) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = rows_.find(row_id);
-  if (it == rows_.end()) {
+  const size_t slot = FindSlot(row_id);
+  if (slot == kNoSlot) {
     return Status::NotFound("share row id not stored");
   }
   if (deltas.size() != layout_.size()) {
@@ -216,21 +335,20 @@ Status ShareTable::AddSecretDeltas(uint64_t row_id,
     if (deltas[c] >= Fp61::kP) {
       return Status::InvalidArgument("refresh delta not a field element");
     }
-    it->second.cells[c].secret =
-        (Fp61::FromCanonical(it->second.cells[c].secret) +
-         Fp61::FromCanonical(deltas[c]))
-            .value();
+    uint64_t& secret = columns_[c].secret[slot];
+    secret = (Fp61::FromCanonical(secret) + Fp61::FromCanonical(deltas[c]))
+                 .value();
   }
   return Status::OK();
 }
 
-Result<const StoredRow*> ShareTable::Get(uint64_t row_id) const {
+Result<StoredRow> ShareTable::Get(uint64_t row_id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = rows_.find(row_id);
-  if (it == rows_.end()) {
+  const size_t slot = FindSlot(row_id);
+  if (slot == kNoSlot) {
     return Status::NotFound("share row id not stored");
   }
-  return &it->second;
+  return RowRef(this, slot).ToStoredRow();
 }
 
 Result<std::vector<uint64_t>> ShareTable::ExactMatch(size_t column,
@@ -295,19 +413,13 @@ Result<std::vector<uint64_t>> ShareTable::ArgMaxInRange(size_t column,
   return op_index_[column].Equal(key);
 }
 
-void ShareTable::ScanAll(
-    const std::function<bool(const StoredRow&)>& visit) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  for (const auto& [id, row] : rows_) {
-    if (!visit(row)) return;
-  }
-}
-
 std::vector<uint64_t> ShareTable::AllRowIds() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   std::vector<uint64_t> out;
-  out.reserve(rows_.size());
-  for (const auto& [id, row] : rows_) out.push_back(id);
+  out.reserve(row_ids_.size() - dead_);
+  for (size_t slot = 0; slot < row_ids_.size(); ++slot) {
+    if (live_[slot]) out.push_back(row_ids_[slot]);
+  }
   return out;
 }
 
@@ -322,9 +434,9 @@ void ShareTable::SaveSnapshot(Buffer* out) const {
   out->PutU8(kSnapshotVersion);
   out->PutVarint(layout_.size());
   for (const ProviderColumnLayout& c : layout_) c.EncodeTo(out);
-  out->PutVarint(rows_.size());
-  for (const auto& [id, row] : rows_) {
-    EncodeStoredRow(row, layout_, out);
+  out->PutVarint(row_ids_.size() - dead_);
+  for (size_t slot = 0; slot < row_ids_.size(); ++slot) {
+    if (live_[slot]) EncodeStoredRow(RowRef(this, slot), layout_, out);
   }
 }
 
@@ -351,6 +463,8 @@ Result<ShareTable> ShareTable::LoadSnapshot(Decoder* dec) {
   ShareTable table(std::move(layout));
   uint64_t n = 0;
   SSDB_RETURN_IF_ERROR(dec->GetVarint(&n));
+  table.Reserve(static_cast<size_t>(std::min<uint64_t>(
+      n, dec->remaining() / StoredRowWireSize(table.layout()))));
   for (uint64_t i = 0; i < n; ++i) {
     StoredRow row;
     SSDB_RETURN_IF_ERROR(DecodeStoredRow(dec, table.layout(), &row));

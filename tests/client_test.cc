@@ -79,13 +79,13 @@ TEST(ClientCreate, DistinctMasterKeysYieldDistinctShares) {
   auto t2 = db2->provider(0).GetTableForTest(1);
   ASSERT_TRUE(t1.ok() && t2.ok());
   uint64_t det1 = 0, det2 = 0;
-  (*t1)->ScanAll([&](const StoredRow& r) {
-    det1 = r.cells[0].det;
-    return true;
+  (*t1)->VisitAllRows([&](const ShareTable::RowRef& r) {
+    det1 = r.det(0);
+    return Status::OK();
   });
-  (*t2)->ScanAll([&](const StoredRow& r) {
-    det2 = r.cells[0].det;
-    return true;
+  (*t2)->VisitAllRows([&](const ShareTable::RowRef& r) {
+    det2 = r.det(0);
+    return Status::OK();
   });
   EXPECT_NE(det1, det2);
 }

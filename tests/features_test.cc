@@ -276,9 +276,9 @@ TEST(Refresh, SharesChangeButSecretsDoNot) {
   auto before_table = db->provider(0).GetTableForTest(1);
   ASSERT_TRUE(before_table.ok());
   std::map<uint64_t, uint64_t> before;
-  (*before_table)->ScanAll([&](const StoredRow& row) {
-    before[row.row_id] = row.cells[1].secret;
-    return true;
+  (*before_table)->VisitAllRows([&](const ShareTable::RowRef& row) {
+    before[row.row_id()] = row.secret(1);
+    return Status::OK();
   });
 
   ASSERT_TRUE(db->RefreshTable("Employees").ok());
@@ -286,9 +286,9 @@ TEST(Refresh, SharesChangeButSecretsDoNot) {
   auto after_table = db->provider(0).GetTableForTest(1);
   ASSERT_TRUE(after_table.ok());
   size_t changed = 0;
-  (*after_table)->ScanAll([&](const StoredRow& row) {
-    if (before[row.row_id] != row.cells[1].secret) ++changed;
-    return true;
+  (*after_table)->VisitAllRows([&](const ShareTable::RowRef& row) {
+    if (before[row.row_id()] != row.secret(1)) ++changed;
+    return Status::OK();
   });
   EXPECT_EQ(changed, before.size());  // every share re-randomized
 

@@ -425,12 +425,12 @@ TEST(Integration, ProvidersNeverSeePlaintext) {
   ASSERT_TRUE(table.ok());
   std::set<uint64_t> salaries = {20000, 35000, 50000, 10000, 42000, 78000};
   size_t plaintext_hits = 0;
-  (*table)->ScanAll([&](const StoredRow& row) {
-    for (const StoredCell& cell : row.cells) {
+  (*table)->VisitAllRows([&](const ShareTable::RowRef& ref) {
+    for (const StoredCell& cell : ref.ToStoredRow().cells) {
       if (salaries.count(cell.secret) != 0) ++plaintext_hits;
       if (salaries.count(cell.det) != 0) ++plaintext_hits;
     }
-    return true;
+    return Status::OK();
   });
   // A random share could collide with a salary by astronomical luck; all
   // 6 salaries appearing would mean plaintext storage.

@@ -69,6 +69,23 @@ TEST(Provider, MalformedRequestYieldsInBandError) {
   auto r3 = Call(&p, trunc);
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(OkHeader(*r3).IsCorruption());
+  // Row counts come off the wire: a request claiming 2^40 ids (or rows)
+  // with no payload behind them is refused, not allocated for.
+  SetupTables(&p);
+  Buffer huge_get;
+  huge_get.PutU8(static_cast<uint8_t>(MsgType::kGetRows));
+  huge_get.PutU32(7);
+  huge_get.PutVarint(uint64_t{1} << 40);
+  auto r4 = Call(&p, huge_get);
+  ASSERT_TRUE(r4.ok());
+  EXPECT_TRUE(OkHeader(*r4).IsCorruption());
+  Buffer huge_insert;
+  huge_insert.PutU8(static_cast<uint8_t>(MsgType::kInsertRows));
+  huge_insert.PutU32(7);
+  huge_insert.PutVarint(uint64_t{1} << 40);
+  auto r5 = Call(&p, huge_insert);
+  ASSERT_TRUE(r5.ok());
+  EXPECT_TRUE(OkHeader(*r5).IsCorruption());
 }
 
 TEST(Provider, CreateInsertQueryExact) {

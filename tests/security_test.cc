@@ -35,9 +35,9 @@ TEST(Security, DeterministicSharesAreInjectivePerProvider) {
     auto table = db->provider(p).GetTableForTest(1);
     ASSERT_TRUE(table.ok());
     std::set<uint64_t> det_shares, op_lows;
-    (*table)->ScanAll([&](const StoredRow& row) {
-      det_shares.insert(row.cells[0].det);
-      return true;
+    (*table)->VisitAllRows([&](const ShareTable::RowRef& row) {
+      det_shares.insert(row.det(0));
+      return Status::OK();
     });
     EXPECT_EQ(det_shares.size(), 2000u) << "provider " << p;
   }
@@ -58,9 +58,9 @@ TEST(Security, EqualityPatternIsTheOnlyDetLeak) {
   auto table = db->provider(0).GetTableForTest(1);
   ASSERT_TRUE(table.ok());
   std::vector<uint64_t> dets;
-  (*table)->ScanAll([&](const StoredRow& row) {
-    dets.push_back(row.cells[0].det);
-    return true;
+  (*table)->VisitAllRows([&](const ShareTable::RowRef& row) {
+    dets.push_back(row.det(0));
+    return Status::OK();
   });
   ASSERT_EQ(dets.size(), 4u);
   EXPECT_EQ(dets[0], dets[1]);  // equal values -> equal shares
@@ -84,9 +84,9 @@ TEST(Security, RandomSharesDifferAcrossIdenticalRows) {
   auto table = db->provider(0).GetTableForTest(1);
   ASSERT_TRUE(table.ok());
   std::vector<uint64_t> secrets;
-  (*table)->ScanAll([&](const StoredRow& row) {
-    secrets.push_back(row.cells[0].secret);
-    return true;
+  (*table)->VisitAllRows([&](const ShareTable::RowRef& row) {
+    secrets.push_back(row.secret(0));
+    return Status::OK();
   });
   ASSERT_EQ(secrets.size(), 2u);
   EXPECT_NE(secrets[0], secrets[1]);
@@ -106,9 +106,9 @@ TEST(Security, SingleProviderSharesLookUniformForSecretColumns) {
   auto table = db->provider(0).GetTableForTest(1);
   ASSERT_TRUE(table.ok());
   size_t in_low_half = 0;
-  (*table)->ScanAll([&](const StoredRow& row) {
-    if (row.cells[0].secret < Fp61::kP / 2) ++in_low_half;
-    return true;
+  (*table)->VisitAllRows([&](const ShareTable::RowRef& row) {
+    if (row.secret(0) < Fp61::kP / 2) ++in_low_half;
+    return Status::OK();
   });
   EXPECT_GT(in_low_half, 180u);
   EXPECT_LT(in_low_half, 320u);
@@ -138,13 +138,13 @@ TEST(Security, RewrittenQueriesDifferPerProvider) {
   auto t1 = db->provider(1).GetTableForTest(1);
   ASSERT_TRUE(t0.ok() && t1.ok());
   std::set<u128> ops0, ops1;
-  (*t0)->ScanAll([&](const StoredRow& row) {
-    ops0.insert(row.cells[1].op);
-    return true;
+  (*t0)->VisitAllRows([&](const ShareTable::RowRef& row) {
+    ops0.insert(row.op(1));
+    return Status::OK();
   });
-  (*t1)->ScanAll([&](const StoredRow& row) {
-    ops1.insert(row.cells[1].op);
-    return true;
+  (*t1)->VisitAllRows([&](const ShareTable::RowRef& row) {
+    ops1.insert(row.op(1));
+    return Status::OK();
   });
   for (u128 s : ops0) EXPECT_EQ(ops1.count(s), 0u);
 }
@@ -189,13 +189,13 @@ TEST(Security, TagKeySeparatesTables) {
   auto tb = db->provider(0).GetTableForTest(2);
   ASSERT_TRUE(ta.ok() && tb.ok());
   uint64_t tag_a = 0, tag_b = 0;
-  (*ta)->ScanAll([&](const StoredRow& r) {
-    tag_a = r.tag;
-    return true;
+  (*ta)->VisitAllRows([&](const ShareTable::RowRef& r) {
+    tag_a = r.tag();
+    return Status::OK();
   });
-  (*tb)->ScanAll([&](const StoredRow& r) {
-    tag_b = r.tag;
-    return true;
+  (*tb)->VisitAllRows([&](const ShareTable::RowRef& r) {
+    tag_b = r.tag();
+    return Status::OK();
   });
   EXPECT_NE(tag_a, tag_b);
 }

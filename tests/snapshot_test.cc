@@ -38,7 +38,7 @@ TEST(ShareTableSnapshot, RoundTripWithIndexes) {
   EXPECT_EQ(loaded->RangeScan(0, 1000, 2000)->size(), 11u);
   auto row = loaded->Get(17);
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)->tag, 17u * 7);
+  EXPECT_EQ(row->tag, 17u * 7);
 }
 
 TEST(ShareTableSnapshot, CorruptSnapshotRejected) {

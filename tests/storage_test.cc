@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
+#include "field/fp61.h"
 #include "storage/btree.h"
 #include "storage/share_table.h"
 
@@ -158,7 +161,7 @@ TEST(ShareTable, InsertGetDelete) {
   EXPECT_TRUE(table.Insert(MakeRow(1, 0, 0, 0, 0)).IsAlreadyExists());
   auto row = table.Get(1);
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)->cells[0].det, 100u);
+  EXPECT_EQ(row->cells[0].det, 100u);
   ASSERT_TRUE(table.Delete(1).ok());
   EXPECT_TRUE(table.Delete(1).IsNotFound());
   EXPECT_TRUE(table.Get(1).status().IsNotFound());
@@ -274,6 +277,275 @@ TEST(ShareTable, ArityMismatchRejected) {
   row.row_id = 1;
   row.cells.resize(2);  // wrong arity
   EXPECT_TRUE(table.Insert(row).IsInvalidArgument());
+}
+
+// --- ShareTable vs a std::map reference -----------------------------------
+
+// Random shares from small domains, so exact matches, range ties and
+// argmin/argmax ties all occur; shares the layout lacks stay 0.
+StoredRow RandomRow(uint64_t id,
+                    const std::vector<ProviderColumnLayout>& layout, Rng* rng) {
+  StoredRow row;
+  row.row_id = id;
+  row.tag = rng->Next();
+  row.cells.resize(layout.size());
+  for (size_t c = 0; c < layout.size(); ++c) {
+    row.cells[c].secret = rng->Uniform(Fp61::kP);
+    if (layout[c].has_det) row.cells[c].det = rng->Uniform(16);
+    if (layout[c].has_op) {
+      row.cells[c].op = MakeU128(rng->Uniform(2), rng->Uniform(40));
+    }
+  }
+  return row;
+}
+
+bool SameRow(const StoredRow& a, const StoredRow& b) {
+  if (a.row_id != b.row_id || a.tag != b.tag ||
+      a.cells.size() != b.cells.size()) {
+    return false;
+  }
+  for (size_t c = 0; c < a.cells.size(); ++c) {
+    if (a.cells[c].secret != b.cells[c].secret ||
+        a.cells[c].det != b.cells[c].det || a.cells[c].op != b.cells[c].op) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The snapshot bytes of the map-based table: header, layout, row count,
+// then every row in ascending id order.
+Buffer ReferenceSnapshot(const std::vector<ProviderColumnLayout>& layout,
+                         const std::map<uint64_t, StoredRow>& ref) {
+  Buffer buf;
+  buf.reserve(StoredRowWireSize(layout) * ref.size() + 64);
+  buf.PutU32(0x53534442);  // "SSDB"
+  buf.PutU8(1);
+  buf.PutVarint(layout.size());
+  for (const ProviderColumnLayout& c : layout) c.EncodeTo(&buf);
+  buf.PutVarint(ref.size());
+  for (const auto& [id, row] : ref) EncodeStoredRow(row, layout, &buf);
+  return buf;
+}
+
+std::vector<uint64_t> Sorted(std::vector<uint64_t> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+uint64_t PickId(const std::map<uint64_t, StoredRow>& ref, Rng* rng) {
+  auto it = ref.begin();
+  std::advance(it, static_cast<long>(rng->Uniform(ref.size())));
+  return it->first;
+}
+
+// Checks every read path of `table` against `ref`.
+void ExpectMatchesReference(const ShareTable& table,
+                            const std::map<uint64_t, StoredRow>& ref,
+                            uint64_t max_id, Rng* rng) {
+  const auto& layout = table.layout();
+  ASSERT_EQ(table.size(), ref.size());
+
+  // Full visit: every live row, ascending ids, same shares.
+  std::vector<uint64_t> visited;
+  auto ref_it = ref.begin();
+  ASSERT_TRUE(table
+                  .VisitAllRows([&](const ShareTable::RowRef& row) {
+                    EXPECT_TRUE(ref_it != ref.end() &&
+                                SameRow(row.ToStoredRow(), ref_it->second));
+                    if (ref_it != ref.end()) ++ref_it;
+                    visited.push_back(row.row_id());
+                    return Status::OK();
+                  })
+                  .ok());
+  std::vector<uint64_t> ref_ids;
+  for (const auto& [id, row] : ref) ref_ids.push_back(id);
+  ASSERT_EQ(visited, ref_ids);
+  EXPECT_EQ(table.AllRowIds(), ref_ids);
+
+  // Listed visit: ascending runs, a descending step and repeats, in list
+  // order; a missing id fails the walk with NotFound.
+  if (!ref.empty()) {
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 12; ++i) ids.push_back(PickId(ref, rng));
+    std::sort(ids.begin(), ids.begin() + 8);
+    std::vector<uint64_t> got;
+    ASSERT_TRUE(table
+                    .VisitRows(ids,
+                               [&](const ShareTable::RowRef& row) {
+                                 EXPECT_TRUE(SameRow(row.ToStoredRow(),
+                                                     ref.at(row.row_id())));
+                                 got.push_back(row.row_id());
+                                 return Status::OK();
+                               })
+                    .ok());
+    EXPECT_EQ(got, ids);
+  }
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t id = rng->Uniform(max_id + 2);
+    auto row = table.Get(id);
+    const auto it = ref.find(id);
+    if (it == ref.end()) {
+      EXPECT_TRUE(row.status().IsNotFound()) << "id " << id;
+      EXPECT_TRUE(table
+                      .VisitRows({id}, [](const ShareTable::RowRef&) {
+                        return Status::OK();
+                      })
+                      .IsNotFound());
+    } else {
+      ASSERT_TRUE(row.ok());
+      EXPECT_TRUE(SameRow(*row, it->second));
+    }
+  }
+
+  // Indexes against brute force over the reference.
+  for (size_t c = 0; c < layout.size(); ++c) {
+    if (layout[c].has_det) {
+      const uint64_t det = rng->Uniform(16);
+      std::vector<uint64_t> expect;
+      for (const auto& [id, row] : ref) {
+        if (row.cells[c].det == det) expect.push_back(id);
+      }
+      auto hits = table.ExactMatch(c, det);
+      ASSERT_TRUE(hits.ok());
+      EXPECT_EQ(*hits, expect);
+    }
+    if (layout[c].has_op) {
+      u128 lo = MakeU128(rng->Uniform(2), rng->Uniform(40));
+      u128 hi = MakeU128(rng->Uniform(2), rng->Uniform(40));
+      if (lo > hi) std::swap(lo, hi);
+      std::vector<uint64_t> expect, expect_min, expect_max;
+      for (const auto& [id, row] : ref) {
+        const u128 op = row.cells[c].op;
+        if (op < lo || op > hi) continue;
+        expect.push_back(id);
+        if (expect_min.empty() || op < ref.at(expect_min[0]).cells[c].op) {
+          expect_min.clear();
+        }
+        if (expect_min.empty() || op == ref.at(expect_min[0]).cells[c].op) {
+          expect_min.push_back(id);
+        }
+        if (expect_max.empty() || op > ref.at(expect_max[0]).cells[c].op) {
+          expect_max.clear();
+        }
+        if (expect_max.empty() || op == ref.at(expect_max[0]).cells[c].op) {
+          expect_max.push_back(id);
+        }
+      }
+      auto range = table.RangeScan(c, lo, hi);
+      ASSERT_TRUE(range.ok());
+      EXPECT_EQ(Sorted(*range), expect);
+      auto mn = table.ArgMinInRange(c, lo, hi);
+      ASSERT_TRUE(mn.ok());
+      EXPECT_EQ(Sorted(*mn), expect_min);
+      auto mx = table.ArgMaxInRange(c, lo, hi);
+      ASSERT_TRUE(mx.ok());
+      EXPECT_EQ(Sorted(*mx), expect_max);
+    }
+  }
+
+  // Snapshot bytes equal the map encoding, and survive a round trip.
+  Buffer snap;
+  table.SaveSnapshot(&snap);
+  const Buffer expect_snap = ReferenceSnapshot(layout, ref);
+  ASSERT_EQ(snap.size(), expect_snap.size());
+  EXPECT_EQ(memcmp(snap.data(), expect_snap.data(), snap.size()), 0);
+  Decoder dec(snap.AsSlice());
+  auto loaded = ShareTable::LoadSnapshot(&dec);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Buffer resnap;
+  loaded->SaveSnapshot(&resnap);
+  ASSERT_EQ(resnap.size(), snap.size());
+  EXPECT_EQ(memcmp(resnap.data(), snap.data(), snap.size()), 0);
+}
+
+TEST(ShareTable, DifferentialAgainstMapReference) {
+  // Seeded random Insert (appends, out-of-order ids, duplicates, revived
+  // deleted ids), Update, Delete and AddSecretDeltas, checked after every
+  // step. Phases alternate insert-heavy and delete-heavy so dead slots
+  // outnumber live ones, and the table compacts, several times.
+  Rng rng(0xC0FFEE);
+  const std::vector<ProviderColumnLayout> layout = TestLayout();
+  ShareTable table(layout);
+  std::map<uint64_t, StoredRow> ref;
+  std::vector<uint64_t> deleted;
+  uint64_t next_id = 1;
+  // Slot model: a dead id occupies a slot until the next compaction.
+  std::set<uint64_t> dead_slots;
+  size_t slots = 0, compactions = 0;
+
+  for (int step = 0; step < 2400; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const bool grow_phase = (step / 200) % 2 == 0;
+    const uint64_t roll = rng.Uniform(100);
+    const uint64_t insert_pct = grow_phase ? 70 : 15;
+    const uint64_t delete_pct = grow_phase ? 10 : 70;
+    if (roll < insert_pct) {
+      uint64_t id;
+      const uint64_t how = rng.Uniform(10);
+      if (how < 6 || next_id < 3) {
+        id = next_id++;  // the client's rising ids
+      } else if (how < 8 && !deleted.empty()) {
+        id = deleted[rng.Uniform(deleted.size())];  // re-insert a dead id
+      } else {
+        id = rng.Uniform(next_id);  // out of order, maybe a duplicate
+      }
+      StoredRow row = RandomRow(id, layout, &rng);
+      const Status st = table.Insert(row);
+      if (ref.count(id) != 0) {
+        EXPECT_TRUE(st.IsAlreadyExists());
+      } else {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        ref.emplace(id, std::move(row));
+        if (dead_slots.erase(id) == 0) ++slots;
+      }
+    } else if (roll < insert_pct + delete_pct) {
+      if (ref.empty() || rng.Bernoulli(0.05)) {
+        EXPECT_TRUE(table.Delete(next_id + 7).IsNotFound());
+      } else {
+        const uint64_t id = PickId(ref, &rng);
+        ASSERT_TRUE(table.Delete(id).ok());
+        EXPECT_TRUE(table.Delete(id).IsNotFound());
+        ref.erase(id);
+        deleted.push_back(id);
+        dead_slots.insert(id);
+        if (dead_slots.size() > slots - dead_slots.size()) {
+          ++compactions;
+          slots -= dead_slots.size();
+          dead_slots.clear();
+        }
+      }
+    } else if (roll < insert_pct + delete_pct + 10) {
+      const uint64_t id = ref.empty() ? next_id : PickId(ref, &rng);
+      StoredRow row = RandomRow(id, layout, &rng);
+      const Status st = table.Update(row);
+      if (ref.count(id) == 0) {
+        EXPECT_TRUE(st.IsNotFound());
+      } else {
+        ASSERT_TRUE(st.ok());
+        ref[id] = std::move(row);
+      }
+    } else {
+      const uint64_t id = ref.empty() ? next_id : PickId(ref, &rng);
+      std::vector<uint64_t> deltas(layout.size());
+      for (auto& d : deltas) d = rng.Uniform(Fp61::kP);
+      const Status st = table.AddSecretDeltas(id, deltas);
+      if (ref.count(id) == 0) {
+        EXPECT_TRUE(st.IsNotFound());
+      } else {
+        ASSERT_TRUE(st.ok());
+        for (size_t c = 0; c < deltas.size(); ++c) {
+          uint64_t& secret = ref[id].cells[c].secret;
+          secret = (Fp61::FromCanonical(secret) +
+                    Fp61::FromCanonical(deltas[c]))
+                       .value();
+        }
+      }
+    }
+    ExpectMatchesReference(table, ref, next_id, &rng);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(compactions, 4u);
 }
 
 }  // namespace
